@@ -12,7 +12,7 @@ DDP_SEED ?= 421
 # Override or disable: make test TIMEOUT=
 TIMEOUT ?= timeout 1200
 
-.PHONY: all build check test smoke obs-smoke static-smoke foreign-smoke dag-smoke race-smoke daemon-smoke daemon-chaos fuzz-smoke fuzz-nightly bench _bench-collect bench-json bench-quick bench-baseline bench-ratchet bench-ratchet-selftest clean
+.PHONY: all build check test smoke perf-smoke obs-smoke static-smoke foreign-smoke dag-smoke race-smoke daemon-smoke daemon-chaos fuzz-smoke fuzz-nightly bench _bench-collect bench-json bench-quick bench-baseline bench-ratchet bench-ratchet-selftest clean
 
 all: build
 
@@ -33,6 +33,12 @@ smoke: build
 	  echo "== kmeans --mode $$mode =="; \
 	  $(DDPROF) run kmeans --mode $$mode || exit 1; \
 	done
+
+# The benchmark's smoke pass: every perfbench workload once on its
+# smallest inputs, untraced and traced, checking each result's metrics
+# and its dependence sets against the perfect and batch oracles (~75 s).
+perf-smoke: build
+	$(TIMEOUT) python3 perfbench/run.py --smoke
 
 # Telemetry end to end: profile a real workload with the tracer,
 # allocation attribution, GC runtime-events fusion and the live

@@ -1100,13 +1100,15 @@ let micro () =
       Test.make ~name:"sig_store set+probe"
         (Staged.stage (fun () ->
              let a = next () in
-             Ddp_core.Sig_store.set sig_store ~addr:a ~payload:1 ~time:a;
-             Ddp_core.Sig_store.probe sig_store ~addr:a));
+             let c = Ddp_core.Sig_store.cell sig_store ~addr:a in
+             Ddp_core.Sig_store.set_write sig_store c ~payload:1 ~time:a;
+             (Ddp_core.Sig_store.lanes sig_store).(c)));
       Test.make ~name:"perfect_sig set+probe"
         (Staged.stage (fun () ->
              let a = next () in
-             Ddp_core.Perfect_sig.set perfect ~addr:a ~payload:1 ~time:a;
-             Ddp_core.Perfect_sig.probe perfect ~addr:a));
+             let c = Ddp_core.Perfect_sig.cell perfect ~addr:a in
+             Ddp_core.Perfect_sig.set_write perfect c ~payload:1 ~time:a;
+             (Ddp_core.Perfect_sig.lanes perfect).(c)));
       Test.make ~name:"hash_table set+probe"
         (Staged.stage (fun () ->
              let a = next () in

@@ -10,8 +10,8 @@
 module Core = Ddp_core
 module Engine = Ddp_core.Engine
 
-(* Shadow and hash stores satisfy Algo.STORE, so they reuse the exact
-   serial wiring — only the store constructors and byte counters
+(* Paired shadow and hash stores satisfy Algo.STORE, so they reuse the
+   exact serial wiring — only the store constructors and byte counters
    differ. *)
 let of_store (type s a) ~name ~description ~category
     (module A : Core.Algo.S with type store = s and type t = a)
@@ -21,12 +21,11 @@ let of_store (type s a) ~name ~description ~category
       let deps = Core.Dep_store.create ?account () in
       let regions = Core.Region.create () in
       let store_account = Option.map (fun (a, _) -> (a, category)) account in
-      let reads = create_store ?account:store_account () in
-      let writes = create_store ?account:store_account () in
+      let store = create_store ?account:store_account () in
       let algo =
         A.create ~track_init:config.track_init
           ~war_requires_prior_write:config.war_requires_prior_write
-          ~check_timestamps:config.check_timestamps ~reads ~writes ~deps ()
+          ~check_timestamps:config.check_timestamps ~store ~deps ()
       in
       let hooks =
         Core.Serial_profiler.make_hooks (module A) algo regions
@@ -40,7 +39,7 @@ let of_store (type s a) ~name ~description ~category
               Engine.deps;
               regions;
               health = Engine.health_of_regions regions;
-              store_bytes = store_bytes reads + store_bytes writes;
+              store_bytes = store_bytes store;
               extra = Engine.No_extra;
             });
       })
@@ -50,16 +49,14 @@ let shadow =
     ~description:"paged shadow memory: exact per-address store (Sec. III-B baseline)"
     ~category:"shadow"
     (module Shadow_memory.Algo_paged)
-    ~create_store:(fun ?account () -> Shadow_memory.Paged.create ?account ())
-    ~store_bytes:Shadow_memory.Paged.bytes
+    ~create_store:Shadow_memory.Paged_pair.create ~store_bytes:Shadow_memory.Paged_pair.bytes
 
 let hashtable =
   of_store ~name:"hashtable"
     ~description:"chained hash table: exact but 1.5-3.7x slower than signatures (Sec. III-B)"
     ~category:"hashtable"
     (module Hash_profiler.Algo)
-    ~create_store:(fun ?account () -> Hash_profiler.create ?account ())
-    ~store_bytes:Hash_profiler.bytes
+    ~create_store:Hash_profiler.Pair.create ~store_bytes:Hash_profiler.Pair.bytes
 
 type Engine.extra += Stride of { records : int }
 

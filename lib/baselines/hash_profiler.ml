@@ -7,7 +7,8 @@
    association lists keyed by the *exact* address) rather than reusing
    stdlib Hashtbl, so the bucket-walk cost the paper describes is really
    paid and really measurable.  Exact: no false positives or negatives.
-   Satisfies Ddp_core.Algo.STORE. *)
+   One table holds one direction; [Pair] puts a read and a write table
+   behind Ddp_core.Algo.STORE. *)
 
 type node = {
   n_addr : int;
@@ -95,11 +96,15 @@ let remove t ~addr =
 let entries t = t.entries
 let bytes t = (Array.length t.buckets * 8) + (t.entries * node_bytes)
 
-module Algo = Ddp_core.Algo.Make (struct
+module Pair = Direction_pair.Make (struct
   type nonrec t = t
 
+  let create ?account () = create ?account ()
   let probe = probe
   let probe_time = probe_time
   let set = set
   let remove = remove
+  let bytes = bytes
 end)
+
+module Algo = Ddp_core.Algo.Make (Pair)

@@ -11,4 +11,7 @@ val remove : t -> addr:int -> unit
 val entries : t -> int
 val bytes : t -> int
 
-module Algo : Ddp_core.Algo.S with type store = t
+module Pair : Direction_pair.S with type direction = t
+(** A read table and a write table as one Algorithm 1 store. *)
+
+module Algo : Ddp_core.Algo.S with type store = Pair.t

@@ -11,8 +11,9 @@
    [Paged] is the multilevel-table mitigation the paper mentions: shadow
    pages are allocated on demand, so memory follows the touched footprint
    rather than the address range.  Both are exact (no false positives or
-   negatives) and both satisfy Ddp_core.Algo.STORE, so Algorithm 1 runs
-   unchanged over them. *)
+   negatives); a read store and a write store of either kind pair into
+   Ddp_core.Algo.STORE (Direction_pair), so Algorithm 1 runs unchanged
+   over them. *)
 
 module Flat = struct
   type t = {
@@ -130,5 +131,7 @@ module Addr_spread = struct
   let spread ~factor addr = (addr * factor) + (addr land 0xFF)
 end
 
-module Algo_flat = Ddp_core.Algo.Make (Flat)
-module Algo_paged = Ddp_core.Algo.Make (Paged)
+module Flat_pair = Direction_pair.Make (Flat)
+module Paged_pair = Direction_pair.Make (Paged)
+module Algo_flat = Ddp_core.Algo.Make (Flat_pair)
+module Algo_paged = Ddp_core.Algo.Make (Paged_pair)

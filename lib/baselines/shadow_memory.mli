@@ -1,6 +1,7 @@
 (** Shadow-memory access stores — the traditional, exact approach the
-    paper's signatures replace (Sec. III-B).  Both satisfy
-    {!Ddp_core.Algo.STORE}. *)
+    paper's signatures replace (Sec. III-B).  One instance holds one
+    direction; {!Flat_pair} and {!Paged_pair} pair a read and a write
+    store into {!Ddp_core.Algo.STORE}. *)
 
 module Flat : sig
   type t
@@ -37,5 +38,7 @@ module Addr_spread : sig
       (used by the shadow-memory ablation bench). *)
 end
 
-module Algo_flat : Ddp_core.Algo.S with type store = Flat.t
-module Algo_paged : Ddp_core.Algo.S with type store = Paged.t
+module Flat_pair : Direction_pair.S with type direction = Flat.t
+module Paged_pair : Direction_pair.S with type direction = Paged.t
+module Algo_flat : Ddp_core.Algo.S with type store = Flat_pair.t
+module Algo_paged : Ddp_core.Algo.S with type store = Paged_pair.t

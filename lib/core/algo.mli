@@ -2,15 +2,29 @@
     kernel, as a functor over the access store so the same code runs over
     real signatures, the perfect signature and baseline stores. *)
 
+(** An access store keeps, per slot or address, one cell of four int
+    lanes: the last write's packed payload and time, then the last read's
+    payload and time.  A payload of 0 means no such access. *)
 module type STORE = sig
   type t
 
-  val probe : t -> addr:int -> int
-  (** Packed payload of the last recorded access; 0 if none. *)
+  val cell : t -> addr:int -> int
+  (** Offset in {!lanes} of the address's cell, created empty if the
+      store needs one.  Valid until the next [cell] or [remove]. *)
 
-  val probe_time : t -> addr:int -> int
-  val set : t -> addr:int -> payload:int -> time:int -> unit
+  val lanes : t -> int array
+  (** The array holding the last located cell; read it after {!cell}, as
+      a paged or growing store may return another one.  Lanes [c] ..
+      [c + 3] are write payload, write time, read payload, read time. *)
+
+  val set_write : t -> int -> payload:int -> time:int -> unit
+  (** Overwrite the write direction of the last located cell, found at
+      the given offset. *)
+
+  val set_read : t -> int -> payload:int -> time:int -> unit
+
   val remove : t -> addr:int -> unit
+  (** Forget both directions of a freed address. *)
 end
 
 type dep_observer = Dep.kind -> sink:int -> src:int -> src_time:int -> sink_time:int -> unit
@@ -24,8 +38,7 @@ module type S = sig
     ?war_requires_prior_write:bool ->
     ?check_timestamps:bool ->
     ?race_of:(src_time:int -> sink_time:int -> bool) ->
-    reads:store ->
-    writes:store ->
+    store:store ->
     deps:Dep_store.t ->
     unit ->
     t

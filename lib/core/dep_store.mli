@@ -1,5 +1,7 @@
 (** Merged dependence storage: identical dependences are stored once with
-    an occurrence count (paper Sec. III-B, output reduction ~1e5x). *)
+    an occurrence count (paper Sec. III-B, output reduction ~1e5x).  An
+    open-addressing table over int lanes: adding a dependence that is
+    already present allocates nothing. *)
 
 type t
 
@@ -32,5 +34,5 @@ module Key_set : Set.S with type elt = Dep.t
 val key_set : t -> Key_set.t
 val key_set_no_race : t -> Key_set.t
 
-val clear : t -> unit
 val approx_bytes : t -> int
+(** Table footprint: capacity times three int lanes. *)

@@ -165,8 +165,7 @@ let dag =
       let deps = Dep_store.create ?account () in
       let regions = Region.create () in
       let store_account = Option.map (fun (a, _) -> (a, "dag-store")) account in
-      let reads = Perfect_sig.create ?account:store_account () in
-      let writes = Perfect_sig.create ?account:store_account () in
+      let store = Perfect_sig.create ?account:store_account () in
       let sp = Dag.create () in
       let spawns = ref 0 and joins = ref 0 in
       (* Stored times are [stamp*2 + locked]; both orders are probed so a
@@ -181,8 +180,8 @@ let dag =
       in
       let algo =
         Algo.Over_perfect.create ~track_init:config.Config.track_init
-          ~war_requires_prior_write:config.Config.war_requires_prior_write ~race_of ~reads
-          ~writes ~deps ()
+          ~war_requires_prior_write:config.Config.war_requires_prior_write ~race_of ~store
+          ~deps ()
       in
       let time_of ~thread ~locked = (Dag.stamp sp ~thread * 2) + Bool.to_int locked in
       let memory : Event.memory_handler =
@@ -240,7 +239,7 @@ let dag =
               Engine.deps;
               regions;
               health = Engine.health_of_regions regions;
-              store_bytes = Perfect_sig.bytes reads + Perfect_sig.bytes writes;
+              store_bytes = Perfect_sig.bytes store;
               extra = Dag { strands = Dag.strands sp; spawns = !spawns; joins = !joins };
             });
       })

@@ -6,7 +6,7 @@
    is owned by exactly one worker and dependence types stay correct.
    Full chunks travel through per-worker bounded queues — lock-free SPSC
    rings by default, the mutex-based variant for the Fig. 5 comparison —
-   and workers run Algorithm 1 on their own signature pair, storing
+   and workers run Algorithm 1 on their own signature, storing
    dependences in thread-local maps that are merged at the end.  Empty
    chunks return to the producer over per-worker recycle queues, so
    steady-state profiling allocates nothing.
@@ -106,8 +106,7 @@ type worker = {
   id : int;
   work_q : queue;
   recycle_q : queue;
-  reads : Sig_store.t;
-  writes : Sig_store.t;
+  store : Sig_store.t;
   algo : Algo.Over_signature.t;
   deps : Dep_store.t;
   pushed : int Atomic.t;  (* chunks handed to this worker *)
@@ -182,13 +181,14 @@ let process_chunk w chunk =
    chunk's measured process time after processing it.  Exists so the CI
    perf ratchet can prove it catches regressions — `make
    bench-ratchet-selftest` seeds DDP_PERTURB_WORKER=0.10 and expects the
-   worker_step_ns gate to fail.  Read once; 0.0 (unset) costs one float
-   compare per chunk. *)
+   worker_step_ns gate to fail.  Read once, at module initialisation and
+   so before any worker domain exists: a [lazy] first forced by two
+   workers at once raises [CamlinternalLazy.Undefined] on OCaml 5.  0.0
+   (unset) costs one float compare per chunk. *)
 let perturb_worker =
-  lazy
-    (match Sys.getenv_opt "DDP_PERTURB_WORKER" with
-    | Some s -> ( match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 0.0)
-    | None -> 0.0)
+  match Sys.getenv_opt "DDP_PERTURB_WORKER" with
+  | Some s -> ( match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 0.0)
+  | None -> 0.0
 
 (* Consume one popped chunk: the worker's unit of progress, shared by the
    domain loop and the virtual scheduler's worker_step. *)
@@ -200,13 +200,12 @@ let consume (w : worker) chunk =
   let t0 = Clock.now () in
   process_chunk w chunk;
   let t1 = Clock.now () in
-  (let f = Lazy.force perturb_worker in
-   if f > 0.0 then begin
-     let until = t1 +. ((t1 -. t0) *. f) in
-     while Clock.now () < until do
-       ()
-     done
-   end);
+  if perturb_worker > 0.0 then begin
+    let until = t1 +. ((t1 -. t0) *. perturb_worker) in
+    while Clock.now () < until do
+      ()
+    done
+  end;
   w.busy <- w.busy +. (Clock.now () -. t0);
   Chunk.clear chunk;
   Atomic.incr w.processed;
@@ -423,20 +422,6 @@ let drain t =
   if on then ignore (Obs.leave t.obs ~dom:0 ~arg:!waited : int);
   !complete
 
-(* Move the signature state of a redistributed address (Sec. IV-A).
-   Safe only while drained. *)
-let migrate t ~addr ~from_w ~to_w =
-  let src = t.workers.(from_w) and dst = t.workers.(to_w) in
-  let move src_store dst_store =
-    let payload = Sig_store.probe src_store ~addr in
-    if payload <> 0 then begin
-      Sig_store.set dst_store ~addr ~payload ~time:(Sig_store.probe_time src_store ~addr);
-      Sig_store.remove src_store ~addr
-    end
-  in
-  move src.reads dst.reads;
-  move src.writes dst.writes
-
 (* Drop_oldest victim: remove the consumer's oldest queued chunk to make
    room.  The victim was counted in [pushed] and will never be
    processed, so the count is rolled back to keep the drain barrier
@@ -586,7 +571,10 @@ let maybe_redistribute t =
            death / deadline mid-barrier) leaves in-flight accesses that
            must not cross a signature migration. *)
         if drain t then
-          List.iter (fun (addr, from_w, to_w) -> migrate t ~addr ~from_w ~to_w) moves;
+          List.iter
+            (fun (addr, from_w, to_w) ->
+              Sig_store.migrate ~src:t.workers.(from_w).store ~dst:t.workers.(to_w).store ~addr)
+            moves;
         if on then begin
           let n = List.length moves in
           ignore (Obs.leave t.obs ~dom:0 ~arg:n : int);
@@ -625,20 +613,18 @@ let create ?account ?(virtual_mode = false) (config : Config.t) =
   let slots = Config.slots_per_worker { config with workers = nw } in
   let workers =
     Array.init nw (fun id ->
-        let reads = Sig_store.create ?account:sig_account ~slots () in
-        let writes = Sig_store.create ?account:sig_account ~slots () in
+        let store = Sig_store.create ?account:sig_account ~slots () in
         let deps = Dep_store.create ?account:(Option.map (fun (a, _) -> (a, "deps-local")) account) () in
         let algo =
           Algo.Over_signature.create ~track_init:config.track_init
             ~war_requires_prior_write:config.war_requires_prior_write
-            ~check_timestamps:config.check_timestamps ~reads ~writes ~deps ()
+            ~check_timestamps:config.check_timestamps ~store ~deps ()
         in
         {
           id;
           work_q = make_queue ~lock_free:config.lock_free ~capacity:config.queue_capacity;
           recycle_q = make_queue ~lock_free:config.lock_free ~capacity:config.queue_capacity;
-          reads;
-          writes;
+          store;
           algo;
           deps;
           pushed = Atomic.make 0;
@@ -729,6 +715,9 @@ let handler t =
 
 let hooks t = Ddp_minir.Handler.hooks (handler t)
 
+let signature_bytes t =
+  Array.fold_left (fun acc (w : worker) -> acc + Sig_store.bytes w.store) 0 t.workers
+
 let finish t =
   Array.iteri (fun w_id _ -> flush t w_id) t.open_chunks;
   let _fully_drained = drain t in
@@ -782,10 +771,8 @@ let finish t =
     Array.iter
       (fun (w : worker) ->
         let dom = w.id + 1 in
-        Obs.add t.obs ~dom Obs.C.sig_occupied
-          (Sig_store.occupied w.reads + Sig_store.occupied w.writes);
-        Obs.add t.obs ~dom Obs.C.sig_overwrites
-          (Sig_store.overwrites w.reads + Sig_store.overwrites w.writes);
+        Obs.add t.obs ~dom Obs.C.sig_occupied (Sig_store.occupied w.store);
+        Obs.add t.obs ~dom Obs.C.sig_overwrites (Sig_store.overwrites w.store);
         let add_ops (pushes, fails, pops, empties) =
           Obs.add t.obs ~dom:0 Obs.C.queue_pushes pushes;
           Obs.add t.obs ~dom:0 Obs.C.queue_push_failures fails;
@@ -795,10 +782,7 @@ let finish t =
         add_ops (w.work_q.op_counts ());
         add_ops (w.recycle_q.op_counts ()))
       t.workers;
-    Obs.add t.obs ~dom:0 Obs.C.bytes_signatures
-      (Array.fold_left
-         (fun acc (w : worker) -> acc + Sig_store.bytes w.reads + Sig_store.bytes w.writes)
-         0 t.workers);
+    Obs.add t.obs ~dom:0 Obs.C.bytes_signatures (signature_bytes t);
     Obs.add t.obs ~dom:0 Obs.C.bytes_queues
       (Array.fold_left
          (fun acc (w : worker) -> acc + w.work_q.q_bytes + w.recycle_q.q_bytes)
@@ -818,9 +802,7 @@ let finish t =
     redistributions = Dispatch.redistributions t.dispatch;
     per_worker_events = Array.map (fun (w : worker) -> w.events) t.workers;
     per_worker_busy = Array.map (fun (w : worker) -> w.busy) t.workers;
-    signature_bytes =
-      Array.fold_left (fun acc (w : worker) -> acc + Sig_store.bytes w.reads + Sig_store.bytes w.writes) 0
-        t.workers;
+    signature_bytes = signature_bytes t;
     queue_bytes = Array.fold_left (fun acc (w : worker) -> acc + w.work_q.q_bytes + w.recycle_q.q_bytes) 0 t.workers;
     chunk_bytes =
       (Array.length t.open_chunks + t.extra_chunks) * Chunk.bytes t.open_chunks.(0);

@@ -79,12 +79,11 @@ let create_signature ?account (config : Config.t) =
   let deps = Dep_store.create ?account () in
   let regions = Region.create () in
   let sig_account = Option.map (fun (a, _) -> (a, "signatures")) account in
-  let reads = Sig_store.create ?account:sig_account ~slots:config.slots () in
-  let writes = Sig_store.create ?account:sig_account ~slots:config.slots () in
+  let store = Sig_store.create ?account:sig_account ~slots:config.slots () in
   let algo =
     Algo.Over_signature.create ~track_init:config.track_init
       ~war_requires_prior_write:config.war_requires_prior_write
-      ~check_timestamps:config.check_timestamps ~reads ~writes ~deps ()
+      ~check_timestamps:config.check_timestamps ~store ~deps ()
   in
   let hooks =
     make_hooks (module Algo.Over_signature) algo regions ~lifetime:config.lifetime_analysis
@@ -95,11 +94,8 @@ let create_signature ?account (config : Config.t) =
     deps;
     regions;
     set_observer = Algo.Over_signature.set_observer algo;
-    store_bytes = (fun () -> Sig_store.bytes reads + Sig_store.bytes writes);
-    release =
-      (fun () ->
-        Sig_store.release reads;
-        Sig_store.release writes);
+    store_bytes = (fun () -> Sig_store.bytes store);
+    release = (fun () -> Sig_store.release store);
     fold_obs =
       (fun obs ->
         let module Obs = Ddp_obs.Obs in
@@ -109,12 +105,9 @@ let create_signature ?account (config : Config.t) =
              runs also show a finalize stage (and attribute its
              allocation) in the self-profiling exports. *)
           Obs.enter obs ~dom:0 Obs.Tag.Merge;
-          Obs.add obs ~dom:0 Obs.C.sig_occupied
-            (Sig_store.occupied reads + Sig_store.occupied writes);
-          Obs.add obs ~dom:0 Obs.C.sig_overwrites
-            (Sig_store.overwrites reads + Sig_store.overwrites writes);
-          Obs.add obs ~dom:0 Obs.C.bytes_signatures
-            (Sig_store.bytes reads + Sig_store.bytes writes);
+          Obs.add obs ~dom:0 Obs.C.sig_occupied (Sig_store.occupied store);
+          Obs.add obs ~dom:0 Obs.C.sig_overwrites (Sig_store.overwrites store);
+          Obs.add obs ~dom:0 Obs.C.bytes_signatures (Sig_store.bytes store);
           let d = Obs.leave obs ~dom:0 ~arg:1 in
           Obs.add obs ~dom:0 Obs.C.merge_ns d
         end);
@@ -124,12 +117,11 @@ let create_perfect ?account (config : Config.t) =
   let deps = Dep_store.create ?account () in
   let regions = Region.create () in
   let store_account = Option.map (fun (a, _) -> (a, "perfect-store")) account in
-  let reads = Perfect_sig.create ?account:store_account () in
-  let writes = Perfect_sig.create ?account:store_account () in
+  let store = Perfect_sig.create ?account:store_account () in
   let algo =
     Algo.Over_perfect.create ~track_init:config.track_init
       ~war_requires_prior_write:config.war_requires_prior_write
-      ~check_timestamps:config.check_timestamps ~reads ~writes ~deps ()
+      ~check_timestamps:config.check_timestamps ~store ~deps ()
   in
   let hooks =
     make_hooks (module Algo.Over_perfect) algo regions ~lifetime:config.lifetime_analysis
@@ -140,7 +132,7 @@ let create_perfect ?account (config : Config.t) =
     deps;
     regions;
     set_observer = Algo.Over_perfect.set_observer algo;
-    store_bytes = (fun () -> Perfect_sig.bytes reads + Perfect_sig.bytes writes);
+    store_bytes = (fun () -> Perfect_sig.bytes store);
     release = (fun () -> ());
     fold_obs = (fun _ -> () (* the perfect store has no slot statistics *));
   }

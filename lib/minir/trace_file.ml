@@ -297,6 +297,16 @@ module Stream = struct
 
   let eof t = t.at_eof <- true
 
+  (* A line longer than this is rejected as corrupt, so a peer that
+     streams bytes without a newline holds at most this much of the
+     decoder's memory.  The writer's longest lines are symbol-table
+     entries: one escaped variable or file name. *)
+  let max_line_bytes = 1 lsl 20
+
+  let check_line_length t n =
+    if Buffer.length t.partial + n > max_line_bytes then
+      fail "line longer than %d bytes" max_line_bytes
+
   (* Pull the next complete line (consuming its '\n'), or — once [eof]
      has been declared — the unterminated tail, exactly as [input_line]
      delivers a final line with no trailing newline.  O(1) amortized per
@@ -318,6 +328,7 @@ module Stream = struct
     else
       match String.index_from_opt t.cur t.pos '\n' with
       | Some i ->
+        check_line_length t (i - t.pos);
         let line =
           if Buffer.length t.partial = 0 then String.sub t.cur t.pos (i - t.pos)
           else begin
@@ -330,6 +341,7 @@ module Stream = struct
         t.pos <- i + 1;
         Some line
       | None ->
+        check_line_length t (String.length t.cur - t.pos);
         Buffer.add_substring t.partial t.cur t.pos (String.length t.cur - t.pos);
         t.pos <- String.length t.cur;
         take_line t

@@ -59,8 +59,10 @@ val load : path:string -> Event.t list * Symtab.t
     boundaries (network frames, partial reads) and pull decoded events.
     Input ending mid-line yields {!step.Need_more}, never an exception;
     {!Parse_error} is raised only for a line that is complete and
-    malformed, or at {!eof} for a trace that is truncated as a whole
-    (missing magic or [%end] seal).  [load] is the whole-file
+    malformed, for a line longer than {!Stream.max_line_bytes} (as soon
+    as the buffered part exceeds it, so a newline-free stream holds
+    bounded memory), or at {!eof} for a trace that is truncated as a
+    whole (missing magic or [%end] seal).  [load] is the whole-file
     specialization of this decoder, with identical acceptance. *)
 module Stream : sig
   type step =
@@ -69,6 +71,9 @@ module Stream : sig
     | Done  (** trace complete; {!symtab} is now valid *)
 
   type t
+
+  val max_line_bytes : int
+  (** 1 MiB: far above the longest line the writer emits. *)
 
   val create : unit -> t
 

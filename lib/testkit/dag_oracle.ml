@@ -100,8 +100,7 @@ let vc_join a b = Imap.union (fun _ x y -> Some (max x y)) a b
 
 let vc_deps ?(config = Config.default) (events : Event.t list) =
   let deps = Dep_store.create () in
-  let reads = Ddp_core.Perfect_sig.create () in
-  let writes = Ddp_core.Perfect_sig.create () in
+  let store = Ddp_core.Perfect_sig.create () in
   let tasks : (int, task) Hashtbl.t = Hashtbl.create 16 in
   let next_comp = ref 0 in
   let fresh_comp () =
@@ -141,8 +140,7 @@ let vc_deps ?(config = Config.default) (events : Event.t list) =
   in
   let algo =
     Ddp_core.Algo.Over_perfect.create ~track_init:config.Config.track_init
-      ~war_requires_prior_write:config.Config.war_requires_prior_write ~race_of ~reads ~writes
-      ~deps ()
+      ~war_requires_prior_write:config.Config.war_requires_prior_write ~race_of ~store ~deps ()
   in
   List.iter
     (fun (ev : Event.t) ->

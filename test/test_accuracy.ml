@@ -89,7 +89,8 @@ let test_expected_occupancy_matches () =
   let s = Ddp_core.Sig_store.create ~slots () in
   let rng = Ddp_util.Rng.create 5 in
   for i = 0 to n - 1 do
-    Ddp_core.Sig_store.set s ~addr:(Ddp_util.Rng.bits rng) ~payload:(payload 1) ~time:i
+    let c = Ddp_core.Sig_store.cell s ~addr:(Ddp_util.Rng.bits rng) in
+    Ddp_core.Sig_store.set_write s c ~payload:(payload 1) ~time:i
   done;
   let expected = Ddp_core.Fpr_model.expected_occupancy ~slots ~addresses:n in
   let measured = float_of_int (Ddp_core.Sig_store.occupied s) in

@@ -11,8 +11,7 @@ let mk_perfect ?(track_init = true) ?(war_requires_prior_write = false) () =
   let deps = Dep_store.create () in
   let algo =
     Ddp_core.Algo.Over_perfect.create ~track_init ~war_requires_prior_write
-      ~reads:(Ddp_core.Perfect_sig.create ())
-      ~writes:(Ddp_core.Perfect_sig.create ())
+      ~store:(Ddp_core.Perfect_sig.create ())
       ~deps ()
   in
   (algo, deps)
@@ -96,8 +95,7 @@ let test_race_flag_on_reversed_time () =
   let deps = Dep_store.create () in
   let algo =
     Ddp_core.Algo.Over_perfect.create ~check_timestamps:true
-      ~reads:(Ddp_core.Perfect_sig.create ())
-      ~writes:(Ddp_core.Perfect_sig.create ())
+      ~store:(Ddp_core.Perfect_sig.create ())
       ~deps ()
   in
   (* Processing order says write@t=9 then read@t=2: reversed wall order. *)
@@ -156,9 +154,8 @@ let prop_signature_matches_perfect_when_big =
       let deps_s = Dep_store.create () in
       (* 13 distinct addresses, 1<<16 slots: collisions essentially
          impossible for addresses 0..12 under multiplicative hashing. *)
-      let reads = Ddp_core.Sig_store.create ~slots:65536 () in
-      let writes = Ddp_core.Sig_store.create ~slots:65536 () in
-      let algo_s = Ddp_core.Algo.Over_signature.create ~reads ~writes ~deps:deps_s () in
+      let store = Ddp_core.Sig_store.create ~slots:65536 () in
+      let algo_s = Ddp_core.Algo.Over_signature.create ~store ~deps:deps_s () in
       List.iteri
         (fun i (is_write, addr, line) ->
           let p = payload line in

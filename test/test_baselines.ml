@@ -15,8 +15,7 @@ let run_perfect trace =
   let deps = Dep_store.create () in
   let algo =
     Ddp_core.Algo.Over_perfect.create
-      ~reads:(Ddp_core.Perfect_sig.create ())
-      ~writes:(Ddp_core.Perfect_sig.create ())
+      ~store:(Ddp_core.Perfect_sig.create ())
       ~deps ()
   in
   List.iteri
@@ -31,8 +30,10 @@ let prop_flat_shadow_exact =
       let deps = Dep_store.create () in
       let algo =
         Ddp_baselines.Shadow_memory.Algo_flat.create
-          ~reads:(Ddp_baselines.Shadow_memory.Flat.create ())
-          ~writes:(Ddp_baselines.Shadow_memory.Flat.create ())
+          ~store:
+            (Ddp_baselines.Shadow_memory.Flat_pair.make
+               ~reads:(Ddp_baselines.Shadow_memory.Flat.create ())
+               ~writes:(Ddp_baselines.Shadow_memory.Flat.create ()))
           ~deps ()
       in
       List.iteri
@@ -49,8 +50,10 @@ let prop_paged_shadow_exact =
       let deps = Dep_store.create () in
       let algo =
         Ddp_baselines.Shadow_memory.Algo_paged.create
-          ~reads:(Ddp_baselines.Shadow_memory.Paged.create ())
-          ~writes:(Ddp_baselines.Shadow_memory.Paged.create ())
+          ~store:
+            (Ddp_baselines.Shadow_memory.Paged_pair.make
+               ~reads:(Ddp_baselines.Shadow_memory.Paged.create ())
+               ~writes:(Ddp_baselines.Shadow_memory.Paged.create ()))
           ~deps ()
       in
       List.iteri
@@ -69,8 +72,10 @@ let prop_hash_profiler_exact =
       let deps = Dep_store.create () in
       let algo =
         Ddp_baselines.Hash_profiler.Algo.create
-          ~reads:(Ddp_baselines.Hash_profiler.create ~initial_buckets:4 ())
-          ~writes:(Ddp_baselines.Hash_profiler.create ~initial_buckets:4 ())
+          ~store:
+            (Ddp_baselines.Hash_profiler.Pair.make
+               ~reads:(Ddp_baselines.Hash_profiler.create ~initial_buckets:4 ())
+               ~writes:(Ddp_baselines.Hash_profiler.create ~initial_buckets:4 ()))
           ~deps ()
       in
       List.iteri

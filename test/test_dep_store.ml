@@ -43,12 +43,55 @@ let test_key_set_no_race () =
   Alcotest.(check int) "race variants distinct" 2
     (Dep_store.Key_set.cardinal (Dep_store.key_set s))
 
-let test_clear () =
-  let s = Dep_store.create () in
-  Dep_store.add s ~kind:Dep.RAW ~sink:(payload 2) ~src:(payload 1) ~race:false;
-  Dep_store.clear s;
-  Alcotest.(check int) "empty" 0 (Dep_store.distinct s);
-  Alcotest.(check int) "occurrences reset" 0 (Dep_store.total_occurrences s)
+(* Far more distinct keys than the initial table holds: every growth
+   and rehash must keep each key's count, the occurrence total, and what
+   merge_into carries into a second store. *)
+let test_growth_keeps_counts () =
+  let n = 20_000 in
+  let key i =
+    {
+      Dep.kind = (match i mod 3 with 0 -> Dep.RAW | 1 -> Dep.WAR | _ -> Dep.WAW);
+      sink = payload (1 + (i / 200));
+      src = payload (1 + (i mod 200));
+      race = i mod 2 = 0;
+    }
+  in
+  let occurrences i = 1 + (i mod 5) in
+  let a = Dep_store.create () in
+  for i = 0 to n - 1 do
+    let k = key i in
+    for _ = 1 to occurrences i do
+      Dep_store.add a ~kind:k.kind ~sink:k.sink ~src:k.src ~race:k.race
+    done
+  done;
+  let expected_total = ref 0 in
+  for i = 0 to n - 1 do
+    expected_total := !expected_total + occurrences i
+  done;
+  Alcotest.(check int) "distinct" n (Dep_store.distinct a);
+  Alcotest.(check int) "total" !expected_total (Dep_store.total_occurrences a);
+  let wrong = ref 0 in
+  for i = 0 to n - 1 do
+    if Dep_store.count a (key i) <> occurrences i then incr wrong
+  done;
+  Alcotest.(check int) "counts after growth" 0 !wrong;
+  Alcotest.(check int) "fold sees every key once" n
+    (Dep_store.fold a (fun _ _ acc -> acc + 1) 0);
+  (* dst holds the odd keys once: merging a adds a's counts on top *)
+  let b = Dep_store.create () in
+  for i = 0 to n - 1 do
+    if i mod 2 = 1 then Dep_store.add_key b (key i) ~occurrences:1
+  done;
+  Dep_store.merge_into ~src:a ~dst:b;
+  Alcotest.(check int) "merged distinct" n (Dep_store.distinct b);
+  Alcotest.(check int) "merged total" (!expected_total + (n / 2)) (Dep_store.total_occurrences b);
+  let wrong = ref 0 in
+  for i = 0 to n - 1 do
+    if Dep_store.count b (key i) <> occurrences i + (i mod 2) then incr wrong
+  done;
+  Alcotest.(check int) "merged counts" 0 !wrong;
+  Alcotest.(check bool) "absent key" false
+    (Dep_store.mem b { Dep.kind = Dep.RAW; sink = payload 999; src = payload 999; race = false })
 
 let test_dep_accessors () =
   let d =
@@ -101,7 +144,7 @@ let suite =
     Alcotest.test_case "distinct keys" `Quick test_distinct_keys;
     Alcotest.test_case "merge_into" `Quick test_merge_into;
     Alcotest.test_case "key_set no race" `Quick test_key_set_no_race;
-    Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "table growth keeps counts" `Quick test_growth_keeps_counts;
     Alcotest.test_case "dep accessors + formats" `Quick test_dep_accessors;
     Alcotest.test_case "INIT format" `Quick test_init_format;
     Alcotest.test_case "race format" `Quick test_race_format;

@@ -132,7 +132,9 @@ let test_force_rebalance_migration_agrees () =
   List.iteri
     (fun i addr ->
       let w = Ddp_core.Dispatch.worker_of d addr in
-      Ddp_core.Sig_store.set stores.(w) ~addr ~payload:(1000 + i) ~time:(50 + i);
+      let c = Ddp_core.Sig_store.cell stores.(w) ~addr in
+      Ddp_core.Sig_store.set_write stores.(w) c ~payload:(1000 + i) ~time:(50 + i);
+      Ddp_core.Sig_store.set_read stores.(w) c ~payload:(2000 + i) ~time:(60 + i);
       for _ = 1 to 10 - i do
         Ddp_core.Dispatch.note_access d addr
       done)
@@ -141,28 +143,26 @@ let test_force_rebalance_migration_agrees () =
   Alcotest.(check bool) "forced rotation moved something" true (moves <> []);
   List.iter
     (fun (addr, from_w, to_w) ->
-      let payload = Ddp_core.Sig_store.probe stores.(from_w) ~addr in
-      if payload <> 0 then begin
-        Ddp_core.Sig_store.set stores.(to_w) ~addr ~payload
-          ~time:(Ddp_core.Sig_store.probe_time stores.(from_w) ~addr);
-        Ddp_core.Sig_store.remove stores.(from_w) ~addr
-      end)
+      Ddp_core.Sig_store.migrate ~src:stores.(from_w) ~dst:stores.(to_w) ~addr)
     moves;
-  (* after migration: state lives exactly at the current owner *)
+  (* after migration: both directions live exactly at the current owner *)
+  let cell_of store addr =
+    let c = Ddp_core.Sig_store.cell store ~addr in
+    Array.sub (Ddp_core.Sig_store.lanes store) c 4 |> Array.to_list
+  in
   List.iteri
     (fun i addr ->
       let owner = Ddp_core.Dispatch.worker_of d addr in
-      Alcotest.(check int)
+      Alcotest.(check (list int))
         (Printf.sprintf "addr %d state at owner" addr)
-        (1000 + i)
-        (Ddp_core.Sig_store.probe stores.(owner) ~addr);
+        [ 1000 + i; 50 + i; 2000 + i; 60 + i ]
+        (cell_of stores.(owner) addr);
       Array.iteri
         (fun w store ->
           if w <> owner then
-            Alcotest.(check int)
+            Alcotest.(check (list int))
               (Printf.sprintf "addr %d absent from worker %d" addr w)
-              0
-              (Ddp_core.Sig_store.probe store ~addr))
+              [ 0; 0; 0; 0 ] (cell_of store addr))
         stores)
     addrs
 

@@ -31,8 +31,7 @@ let sharded_reference_hooks ~config deps =
   let shards =
     Array.init nw (fun _ ->
         Ddp_core.Algo.Over_signature.create
-          ~reads:(Ddp_core.Sig_store.create ~slots ())
-          ~writes:(Ddp_core.Sig_store.create ~slots ())
+          ~store:(Ddp_core.Sig_store.create ~slots ())
           ~deps ())
   in
   let shard addr = shards.(addr mod nw) in
@@ -83,6 +82,8 @@ let test_trace_equivalence_basic () =
       [ (true, 1, 1); (false, 1, 2); (true, 2, 3); (true, 2, 4); (false, 2, 5); (true, 1, 6) ]
   in
   let serial_deps, result = run_trace_both ~config:small_cfg trace in
+  (* a worker crash must fail as a crash, not as a missing partition *)
+  Alcotest.(check string) "run complete" "complete" (Ddp_core.Health.to_string result.health);
   Alcotest.(check bool) "dep sets equal" true (dep_sets_equal serial_deps result.deps);
   Alcotest.(check bool) "nonempty" true (Dep_store.distinct serial_deps > 0)
 

@@ -136,8 +136,7 @@ let prop_parallel_matches_sharded_end_to_end =
       let shards =
         Array.init nw (fun _ ->
             Ddp_core.Algo.Over_signature.create
-              ~reads:(Ddp_core.Sig_store.create ~slots ())
-              ~writes:(Ddp_core.Sig_store.create ~slots ())
+              ~store:(Ddp_core.Sig_store.create ~slots ())
               ~deps:reference ())
       in
       let shard addr = shards.(addr mod nw) in

@@ -274,6 +274,23 @@ let test_stream_feed_after_eof () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "feed accepted after eof"
 
+(* A peer that never sends a newline must hit the line cap, not grow
+   the decoder's buffer without bound. *)
+let test_stream_line_cap () =
+  let st = TF.Stream.create () in
+  TF.Stream.feed st "ddp-trace 2\n";
+  let piece = String.make (64 * 1024) 'R' in
+  let outcome = ref "Need_more forever" in
+  (try
+     for _ = 1 to 32 (* 2 MiB *) do
+       TF.Stream.feed st piece;
+       match TF.Stream.next st with
+       | TF.Stream.Need_more -> ()
+       | TF.Stream.Event _ | TF.Stream.Done -> failwith "decoded a newline-free line"
+     done
+   with TF.Parse_error _ -> outcome := "Parse_error");
+  Alcotest.(check string) "cap enforced" "Parse_error" !outcome
+
 let suite =
   [
     Alcotest.test_case "roundtrip events" `Quick test_roundtrip_events;
@@ -294,4 +311,5 @@ let suite =
     Alcotest.test_case "stream: truncation fails at eof" `Quick test_stream_truncated_fails_at_eof;
     Alcotest.test_case "stream: garbage still errors" `Quick test_stream_garbage_still_errors;
     Alcotest.test_case "stream: feed after eof" `Quick test_stream_feed_after_eof;
+    Alcotest.test_case "stream: line length capped" `Quick test_stream_line_cap;
   ]
