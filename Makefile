@@ -86,26 +86,34 @@ foreign-smoke: build
 	  $(DDPROF) foreign-diff kmeans --trace _foreign/kmeans.lackey --mode $$mode || exit 1; \
 	done
 
-# The SP-DAG race engine end to end: every task-family workload under
-# --mode dag must match its @race/@norace ground truth exactly (zero
-# flags on the clean variants, >= 1 on the racy ones), then a 25-program
-# exhaustive-interleaving sweep diffs the engine against the vector-clock
-# oracle on every schedule.  Counterexamples land in _dag/ for the CI
-# artifact.
+# The SP-DAG race engine end to end: every task-family workload, at the
+# scale the benchmark runs it (fib 5, msort 8, scan 256), must render its
+# --mode dag report and match its @race/@norace ground truth exactly (zero
+# flags on the clean variants, >= 1 on the racy ones); msort-task at
+# scale 16 needs more task ids than a payload holds and must be refused;
+# then a 25-program exhaustive-interleaving sweep diffs the engine against
+# the vector-clock oracle on every schedule.  Counterexamples land in
+# _dag/ for the CI artifact.
+TASK_SCALES = fib-task:5 fib-task-racy:5 msort-task:8 msort-task-racy:8 scan-task:256 scan-task-racy:256
+
 dag-smoke: build
-	@for w in fib-task msort-task scan-task; do \
-	  echo "== $$w --mode dag (@norace) =="; \
-	  out=$$($(DDPROF) run $$w --mode dag) || exit 1; \
-	  echo "$$out" | grep -q ", 0 race-flagged" \
-	    || { echo "FAIL: $$w is @norace but the dag engine flagged a race"; echo "$$out"; exit 1; }; \
+	@for ws in $(TASK_SCALES); do \
+	  w=$${ws%:*}; s=$${ws#*:}; \
+	  echo "== $$w --scale $$s --mode dag --report =="; \
+	  out=$$($(DDPROF) run $$w --scale $$s --mode dag --report) || exit 1; \
+	  summary=$$(echo "$$out" | grep "race-flagged"); echo "$$summary"; \
+	  case $$w in \
+	    *-racy) if echo "$$summary" | grep -q ", 0 race-flagged"; then \
+	        echo "FAIL: $$w is @race but the dag engine saw nothing"; exit 1; fi ;; \
+	    *) echo "$$summary" | grep -q ", 0 race-flagged" \
+	        || { echo "FAIL: $$w is @norace but the dag engine flagged a race"; exit 1; } ;; \
+	  esac; \
 	done
-	@for w in fib-task-racy msort-task-racy scan-task-racy; do \
-	  echo "== $$w --mode dag (@race) =="; \
-	  out=$$($(DDPROF) run $$w --mode dag) || exit 1; \
-	  if echo "$$out" | grep -q ", 0 race-flagged"; then \
-	    echo "FAIL: $$w is @race but the dag engine saw nothing"; echo "$$out"; exit 1; \
-	  fi; \
-	done
+	@echo "== msort-task --scale 16 --mode dag (2047 task ids: refused) =="; \
+	if out=$$($(DDPROF) run msort-task --scale 16 --mode dag 2>&1); then \
+	  echo "FAIL: msort-task at scale 16 ran past the task limit"; exit 1; fi; \
+	echo "$$out" | grep -q "task limit (1024) exceeded" \
+	  || { echo "FAIL: expected the task-limit error, got:"; echo "$$out"; exit 1; }
 	@mkdir -p _dag
 	$(TIMEOUT) $(DDPCHECK) dag --seed $(DDP_SEED) --count 25 --out _dag
 

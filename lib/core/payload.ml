@@ -7,11 +7,11 @@
    is never 0 because a real location always has line >= 1, so 0 serves as
    the empty-slot sentinel. *)
 
-let thread_bits = 10
+let thread_bits = Ddp_minir.Loc.thread_bits
 let var_bits = 20
 let loc_bits = 24
 
-let max_thread = (1 lsl thread_bits) - 1
+let max_thread = Ddp_minir.Loc.max_thread
 let max_var = (1 lsl var_bits) - 1
 let max_loc = (1 lsl loc_bits) - 1
 
@@ -24,7 +24,8 @@ let pack ~loc ~var ~thread =
   (loc lsl (var_bits + thread_bits)) lor (var lsl thread_bits) lor thread
 
 (* Unchecked variant for the instrumentation hot path: callers guarantee
-   ranges (the interpreter validates lines and thread counts up front). *)
+   ranges (the interpreter validates lines up front and never hands out a
+   thread id above [Loc.max_thread]). *)
 let pack_unsafe ~loc ~var ~thread =
   (loc lsl (var_bits + thread_bits)) lor (var lsl thread_bits) lor thread
 

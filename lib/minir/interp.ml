@@ -27,12 +27,22 @@ type thread_state = {
   mutable held : int list;  (* lock ids currently held, innermost first *)
   mutable depth : int;  (* procedure-call depth, for recursion guard *)
   scheduled : bool;  (* true inside a Par: Yield effects are meaningful *)
-  (* Task runtime only (empty otherwise): one pending-children list per
-     enclosing frame (program body / task body / procedure body),
-     innermost first.  [Spawn] pushes into the head; [Sync] — explicit or
-     the implicit one at frame exit — joins and clears the head. *)
-  mutable frames : int list ref list;
-  mutable waiting : int list;  (* child tids this task is stalled on at a Sync *)
+  (* Task runtime only (empty otherwise): one frame per enclosing
+     program body / task body / procedure body, innermost first.
+     [Spawn] adds to the head; [Sync] — explicit or the implicit one at
+     frame exit — joins and clears the head. *)
+  mutable frames : frame list;
+}
+
+(* The children a frame spawned since its last sync.  A child that
+   finishes decrements its own frame's [running]; the last one wakes the
+   owner if it is parked on that frame, so a child of an outer frame
+   never wakes a task parked at an inner sync. *)
+and frame = {
+  owner : int;  (* tid of the task the frame belongs to *)
+  mutable children : int list;  (* newest first *)
+  mutable running : int;  (* of [children], those not yet finished *)
+  mutable parked : bool;  (* the owner waits at this frame's sync *)
 }
 
 (* -- effects-based cooperative threads ---------------------------------- *)
@@ -43,11 +53,16 @@ type status = Finished | Paused of (unit, status) Effect.Deep.continuation
 
 (* The fork-join task scheduler ([Spawn]/[Sync] programs).  Unlike
    [run_par]'s fixed thread array, tasks are created dynamically (a
-   recursive fib spawns hundreds), so slots grow; [choose] picks among
-   the currently runnable tasks — seeded-random by default, or an
-   injected schedule for exhaustive-interleaving oracles. *)
+   recursive fib spawns hundreds), so slots grow; slot [i] holds tid [i].
+   [choose] picks among the currently runnable tasks — seeded-random by
+   default, or an injected schedule for exhaustive-interleaving oracles.
+
+   A Fenwick tree over the slots holds 1 for each runnable task, so one
+   scheduling step (count, pick the k-th runnable in tid order, update)
+   costs O(log T) for T tasks. *)
 type task_slot = {
   sts : thread_state;
+  spawned_in : frame option;  (* the parent's frame; [None] for the root *)
   mutable st :
     [ `Not_started of (unit -> unit)
     | `Paused of (unit, status) Effect.Deep.continuation
@@ -57,8 +72,10 @@ type task_slot = {
 type task_sched = {
   mutable slots : task_slot array;  (* first [ntasks] entries are live *)
   mutable ntasks : int;
-  mutable next_tid : int;
-  tdone : (int, unit) Hashtbl.t;  (* finished task tids *)
+  mutable fenwick : int array;
+      (* 1-based over a power-of-two capacity [Array.length slots]: entry
+         [i] sums the runnable flags of slots [i - lowbit i, i) *)
+  mutable runnable : int;  (* tasks neither finished nor parked *)
   mutable live : int;  (* tasks not yet finished *)
   mutable stalls : int;  (* syncs that had to wait for an unfinished child *)
   choose : int -> int;  (* #runnable -> index of the task to step *)
@@ -81,7 +98,11 @@ type ctx = {
 }
 
 let max_call_depth = 200
-let max_tasks = 200_000
+
+(* Simulated threads and tasks get tids 0..[Loc.max_thread]: a larger
+   one would not fit the thread field of a dependence payload. *)
+let check_thread_limit tid =
+  if tid > Loc.max_thread then error "task limit (%d) exceeded" (Loc.max_thread + 1)
 
 type stats = {
   reads : int;
@@ -114,25 +135,55 @@ let spawn fn =
 
 (* -- task scheduler bookkeeping ------------------------------------------ *)
 
-let add_task sched sts fn =
-  if sched.ntasks >= max_tasks then error "task limit (%d) exceeded" max_tasks;
-  let slot = { sts; st = `Not_started fn } in
-  if sched.ntasks = Array.length sched.slots then begin
-    let grown = Array.make (max 8 (2 * Array.length sched.slots)) slot in
-    Array.blit sched.slots 0 grown 0 sched.ntasks;
-    sched.slots <- grown
+let new_frame owner = { owner; children = []; running = 0; parked = false }
+
+(* A task is runnable unless it has finished or is parked at a [Sync]
+   whose children have not all finished.  (Lock waiters poll, so they
+   stay runnable.)  [set_runnable] flips slot [tid]'s flag by [d] = ±1. *)
+let set_runnable sched tid d =
+  let f = sched.fenwick and cap = Array.length sched.slots in
+  let i = ref (tid + 1) in
+  while !i <= cap do
+    f.(!i) <- f.(!i) + d;
+    i := !i + (!i land - !i)
+  done;
+  sched.runnable <- sched.runnable + d
+
+(* The tid of the [k]-th runnable task (0-based) in tid order: descend
+   the implicit tree, skipping every subtree whose count fits in [k]. *)
+let kth_runnable sched k =
+  let f = sched.fenwick in
+  let pos = ref 0 and k = ref k and step = ref (Array.length sched.slots) in
+  while !step > 0 do
+    let next = !pos + !step in
+    if next < Array.length f && f.(next) <= !k then begin
+      pos := next;
+      k := !k - f.(next)
+    end;
+    step := !step lsr 1
+  done;
+  !pos
+
+let add_task sched sts ~spawned_in fn =
+  check_thread_limit sched.ntasks;
+  let slot = { sts; spawned_in; st = `Not_started fn } in
+  let cap = Array.length sched.slots in
+  if sched.ntasks = cap then begin
+    (* Growing a power-of-two capacity by doubling: the old entries keep
+       their ranges and the new ones cover only empty slots, except the
+       new top entry, which spans everything (entry 0 is always 0). *)
+    let cap' = max 8 (2 * cap) in
+    let slots = Array.make cap' slot and fenwick = Array.make (cap' + 1) 0 in
+    Array.blit sched.slots 0 slots 0 cap;
+    Array.blit sched.fenwick 0 fenwick 0 (cap + 1);
+    fenwick.(cap') <- sched.fenwick.(cap);
+    sched.slots <- slots;
+    sched.fenwick <- fenwick
   end;
   sched.slots.(sched.ntasks) <- slot;
+  set_runnable sched sched.ntasks 1;
   sched.ntasks <- sched.ntasks + 1;
   sched.live <- sched.live + 1
-
-(* A task is runnable unless it is parked at a [Sync] whose children have
-   not all finished.  (Lock waiters poll, so they stay runnable.) *)
-let task_runnable sched slot =
-  match slot.st with
-  | `Finished -> false
-  | `Not_started _ | `Paused _ ->
-    List.for_all (Hashtbl.mem sched.tdone) slot.sts.waiting
 
 (* -- event emission ------------------------------------------------------ *)
 
@@ -234,34 +285,24 @@ let free_binding ctx = function
       Memory.free ctx.mem ~base:a.base ~len:a.len
     end
 
-(* Join every child spawned so far in [ts]'s innermost frame: park until
-   they have all finished (each wait is a [Yield] back to the scheduler,
-   which will not resume us while [waiting] has unfinished tids), then
-   emit one [Task_join] per child in spawn order.  Outside the task
-   runtime the frame stack is empty and this is a no-op. *)
+(* Join every child spawned so far in [ts]'s innermost frame: if any is
+   still running, park (leave the runnable set and [Yield]; the last
+   child to finish puts us back), then emit one [Task_join] per child in
+   spawn order.  Outside the task runtime the frame stack is empty and
+   this is a no-op. *)
 let task_sync ctx ts =
   match ts.frames with
   | [] -> ()
-  | pending :: _ ->
+  | frame :: _ ->
     let sched = match ctx.tasks with Some s -> s | None -> assert false in
-    let children = List.rev !pending in
-    pending := [];
-    let unfinished () =
-      List.filter (fun tid -> not (Hashtbl.mem sched.tdone tid)) children
-    in
-    (match unfinished () with
-    | [] -> ()
-    | _ :: _ ->
+    let children = List.rev frame.children in
+    frame.children <- [];
+    if frame.running > 0 then begin
       sched.stalls <- sched.stalls + 1;
-      let rec wait () =
-        match unfinished () with
-        | [] -> ts.waiting <- []
-        | w ->
-          ts.waiting <- w;
-          Effect.perform Yield;
-          wait ()
-      in
-      wait ());
+      frame.parked <- true;
+      set_runnable sched ts.tid (-1);
+      Effect.perform Yield
+    end;
     List.iter
       (fun child ->
         ctx.hooks.on_sync ~kind:Event.Task_join ~obj:child ~thread:ts.tid ~time:ctx.time)
@@ -373,24 +414,23 @@ let rec exec_stmt ctx ts env scope (s : Ast.stmt) =
     match ctx.tasks with
     | None -> error "Spawn outside the task runtime"
     | Some sched ->
-      let pending =
-        match ts.frames with p :: _ -> p | [] -> error "Spawn outside the task runtime"
+      let frame =
+        match ts.frames with f :: _ -> f | [] -> error "Spawn outside the task runtime"
       in
-      let child_tid = sched.next_tid in
-      sched.next_tid <- child_tid + 1;
+      let child_tid = sched.ntasks in
       let cts =
         {
           tid = child_tid;
           held = [];
           depth = ts.depth;  (* inherited: bounds runaway spawn-recursion too *)
           scheduled = true;
-          frames = [ ref [] ];  (* the task body is itself a frame *)
-          waiting = [];
+          frames = [ new_frame child_tid ];  (* the task body is itself a frame *)
         }
       in
       let fn () = exec_frame ctx cts env body in
-      add_task sched cts fn;
-      pending := child_tid :: !pending;
+      add_task sched cts ~spawned_in:(Some frame) fn;
+      frame.children <- child_tid :: frame.children;
+      frame.running <- frame.running + 1;
       ctx.hooks.on_sync ~kind:Event.Task_spawn ~obj:child_tid ~thread:ts.tid ~time:ctx.time;
       env)
   | Ast.Sync ->
@@ -431,7 +471,7 @@ let rec exec_stmt ctx ts env scope (s : Ast.stmt) =
        inside it are implicitly joined before the call returns (the
        Cilk rule), so a callee can never leak running tasks. *)
     if ctx.tasks <> None then begin
-      ts.frames <- ref [] :: ts.frames;
+      ts.frames <- new_frame ts.tid :: ts.frames;
       exec_frame ctx ts fenv f.Ast.fbody;
       ts.frames <- List.tl ts.frames
     end
@@ -484,13 +524,12 @@ and release ctx ts id =
    interleave them with the seeded scheduler, join all. *)
 and run_par ctx parent env blocks =
   let n = List.length blocks in
+  check_thread_limit n;
   let states =
     Array.of_list
       (List.mapi
          (fun i block ->
-           let ts =
-             { tid = i + 1; held = []; depth = 0; scheduled = true; frames = []; waiting = [] }
-           in
+           let ts = { tid = i + 1; held = []; depth = 0; scheduled = true; frames = [] } in
            `Not_started (ts, fun () -> exec_block ctx ts env block))
          blocks)
   in
@@ -536,6 +575,22 @@ and run_par ctx parent env blocks =
 
 (* -- entry point --------------------------------------------------------- *)
 
+(* A finished task leaves the runnable set; if it was the last running
+   child of a frame its parent is parked on, the parent rejoins it. *)
+let finish_task ctx sched slot =
+  slot.st <- `Finished;
+  set_runnable sched slot.sts.tid (-1);
+  sched.live <- sched.live - 1;
+  (match slot.spawned_in with
+  | Some f ->
+    f.running <- f.running - 1;
+    if f.running = 0 && f.parked then begin
+      f.parked <- false;
+      set_runnable sched f.owner 1
+    end
+  | None -> ());
+  ctx.hooks.on_thread_end ~thread:slot.sts.tid
+
 (* The fork-join driver for [Spawn]/[Sync] programs: the whole top-level
    body runs as the root task (tid 0) under the dynamic scheduler, so
    spawn points interleave with their continuations exactly like any
@@ -546,17 +601,15 @@ let run_tasks ctx prog choose =
     {
       slots = [||];
       ntasks = 0;
-      next_tid = 1;
-      tdone = Hashtbl.create 64;
+      fenwick = [| 0 |];
+      runnable = 0;
       live = 0;
       stalls = 0;
       choose;
     }
   in
   ctx.tasks <- Some sched;
-  let root =
-    { tid = 0; held = []; depth = 0; scheduled = true; frames = [ ref [] ]; waiting = [] }
-  in
+  let root = { tid = 0; held = []; depth = 0; scheduled = true; frames = [ new_frame 0 ] } in
   let top_scope = ref [] in
   let root_fn () =
     let (_ : binding Env.t) =
@@ -570,36 +623,25 @@ let run_tasks ctx prog choose =
     task_sync ctx root;  (* implicit program-end sync *)
     List.iter (free_binding ctx) !top_scope
   in
-  add_task sched root root_fn;
+  add_task sched root ~spawned_in:None root_fn;
   let steps = ref 0 in
-  let runnable = ref [] in
   while sched.live > 0 do
     incr steps;
     if !steps > 100_000_000 then error "task scheduler: livelock suspected";
-    runnable := [];
-    for i = sched.ntasks - 1 downto 0 do
-      if task_runnable sched sched.slots.(i) then runnable := i :: !runnable
-    done;
-    let n = List.length !runnable in
+    let n = sched.runnable in
     if n = 0 then error "task deadlock: %d task(s) blocked at sync" sched.live;
     let choice = sched.choose n in
     if choice < 0 || choice >= n then
       error "schedule chose %d out of %d runnable task(s)" choice n;
-    let slot = sched.slots.(List.nth !runnable choice) in
-    let finish () =
-      Hashtbl.replace sched.tdone slot.sts.tid ();
-      slot.st <- `Finished;
-      sched.live <- sched.live - 1;
-      ctx.hooks.on_thread_end ~thread:slot.sts.tid
-    in
+    let slot = sched.slots.(kth_runnable sched choice) in
     match slot.st with
     | `Not_started fn -> (
       match spawn fn with
-      | Finished -> finish ()
+      | Finished -> finish_task ctx sched slot
       | Paused k -> slot.st <- `Paused k)
     | `Paused k -> (
       match Effect.Deep.continue k () with
-      | Finished -> finish ()
+      | Finished -> finish_task ctx sched slot
       | Paused k' -> slot.st <- `Paused k')
     | `Finished -> assert false
   done;
@@ -644,9 +686,7 @@ let run ?(hooks = Event.null) ?(sched_seed = 42) ?(input_seed = 7) ?schedule ?sy
       run_tasks ctx prog choose
     end
     else begin
-      let ts =
-        { tid = 0; held = []; depth = 0; scheduled = false; frames = []; waiting = [] }
-      in
+      let ts = { tid = 0; held = []; depth = 0; scheduled = false; frames = [] } in
       (* The top-level scope is special: bindings become globals, visible to
          procedures, and are freed only when the program ends. *)
       let top_scope = ref [] in

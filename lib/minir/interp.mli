@@ -37,11 +37,21 @@ val run :
     task body, procedure body) implicitly syncs its children on exit, and
     [Task_spawn]/[Task_join] [Sync] events are emitted — plus
     [Lock_acquire]/[Lock_release] from [Lock]/[Unlock] everywhere.
-    [schedule] overrides the seeded scheduler for task programs: given
-    the number of currently runnable tasks [n], it must return a pick in
-    [\[0, n)] — the hook exhaustive-interleaving oracles use to force
-    every schedule of a small program.  Mixing [Par] with tasks is a
-    runtime error. *)
+    [schedule] overrides the seeded scheduler for task programs: it is
+    called once per scheduling step (every statement and loop iteration
+    of the running task) with the number [n] of currently runnable tasks,
+    and must return a pick [k] in [\[0, n)]; the step then runs the
+    [k]-th runnable task in spawn order (tid order, the root first).  A
+    task is runnable unless it has finished or is parked at a sync whose
+    children have not all finished.  Exhaustive-interleaving oracles
+    ([Ddp_testkit.Dag_oracle]) rely on this contract to enumerate and
+    replay every schedule of a small program; a pick outside [\[0, n)]
+    raises [Runtime_error].
+
+    Simulated threads and tasks get tids [0..Loc.max_thread]: a [Par]
+    with more arms, or a program that spawns more tasks in one run,
+    raises [Runtime_error "task limit (1024) exceeded"].  Mixing [Par]
+    with tasks is a runtime error. *)
 
 val trace :
   ?sched_seed:int ->

@@ -12,6 +12,12 @@ let line_mask = (1 lsl line_bits) - 1
 let max_line = line_mask
 let max_file = (1 lsl 8) - 1
 
+(* Thread ids share a payload with a location (see Ddp_core.Payload):
+   10 bits, so ids 0..1023.  The interpreter refuses to create more
+   simulated threads or tasks than that. *)
+let thread_bits = 10
+let max_thread = (1 lsl thread_bits) - 1
+
 let none = 0
 
 let make ~file ~line =

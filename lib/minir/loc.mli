@@ -22,3 +22,9 @@ val compare : t -> t -> int
 
 val max_line : int
 val max_file : int
+
+val thread_bits : int
+
+val max_thread : int
+(** Largest thread id a payload can hold (1023).  The interpreter raises
+    when a [Par] or the task runtime would need a larger one. *)

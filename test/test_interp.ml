@@ -369,6 +369,141 @@ let test_task_replay_deterministic () =
   let tr seed = fst (Interp.trace ~sched_seed:seed (task_prog ())) in
   Alcotest.(check bool) "same seed, same interleaving" true (tr 11 = tr 11)
 
+(* Schedule identity: the Trace_file v2 encoding of each task workload
+   at scale 1, under two seeds and two injected schedules, must not
+   change when the scheduler's data structures do.  The digests were
+   recorded with the linear-rescan scheduler the Fenwick tree replaced. *)
+let golden_traces =
+  [
+    ("fib-task", "seed 1", "a0ad0cc00dcc084e2a1092271c4a7979");
+    ("fib-task", "seed 42", "5b70172f1430cdc4f4d7a5692bf9b006");
+    ("fib-task", "n - 1", "e76772c10e8b704652832f1ee4dda63b");
+    ("fib-task", "n / 2", "c286badabb3fc90bf6fb7d1ec616aaed");
+    ("fib-task-racy", "seed 1", "842473edf9d3f32b88341a68ce02b6df");
+    ("fib-task-racy", "seed 42", "314c2b9a6972194592773afb9df1ae74");
+    ("fib-task-racy", "n - 1", "9bd9be33054f121848e6d20c003e7493");
+    ("fib-task-racy", "n / 2", "54025b1f02b21e38a3f5d7957985d781");
+    ("msort-task", "seed 1", "365cd0a559f2019bad29595ce86e1eac");
+    ("msort-task", "seed 42", "d6681aadf1278d9e9791c9d67dc65606");
+    ("msort-task", "n - 1", "9748bb13089540527f9e75bd73a6f98b");
+    ("msort-task", "n / 2", "ac88dafb06ae94b629862be7871df983");
+    ("msort-task-racy", "seed 1", "f448120b3b429da1d19be363732995de");
+    ("msort-task-racy", "seed 42", "10480a7b4c5ddadce9bbca098655ad79");
+    ("msort-task-racy", "n - 1", "94a645c15afdce1b7c2cb08c8a512e78");
+    ("msort-task-racy", "n / 2", "4f9e21b182b4b86383761a411b4748a2");
+    ("scan-task", "seed 1", "71ef4e2301007feaf9843fbd003bbd5f");
+    ("scan-task", "seed 42", "7c09037f71295e56c0b2df7e6ed877e4");
+    ("scan-task", "n - 1", "f9b658423652f44bb4b3aeaddd66e77f");
+    ("scan-task", "n / 2", "f9b658423652f44bb4b3aeaddd66e77f");
+    ("scan-task-racy", "seed 1", "1a036750e77a9389ec37567027e18a06");
+    ("scan-task-racy", "seed 42", "e2bf41a7f272c50a2494f9c3e48238d3");
+    ("scan-task-racy", "n - 1", "45b2dae081eb6e4fea3ac74bec4ef9aa");
+    ("scan-task-racy", "n / 2", "45b2dae081eb6e4fea3ac74bec4ef9aa");
+  ]
+
+let trace_digest name how =
+  let prog = (Ddp_workloads.Registry.find name).Ddp_workloads.Wl.seq ~scale:1 in
+  let symtab = Symtab.create () in
+  let events, _ =
+    match how with
+    | "seed 1" -> Interp.trace ~sched_seed:1 ~input_seed:1 ~symtab prog
+    | "seed 42" -> Interp.trace ~sched_seed:42 ~input_seed:42 ~symtab prog
+    | "n - 1" -> Interp.trace ~schedule:(fun n -> n - 1) ~symtab prog
+    | "n / 2" -> Interp.trace ~schedule:(fun n -> n / 2) ~symtab prog
+    | _ -> invalid_arg how
+  in
+  let buf = Buffer.create 65536 in
+  Trace_file.to_buffer buf events symtab;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_task_traces_golden () =
+  List.iter
+    (fun (name, how, expected) ->
+      Alcotest.(check string) (name ^ ", " ^ how) expected (trace_digest name how))
+    golden_traces
+
+(* Only children of the innermost frame wake a task parked at a sync.
+   The root spawns A, then calls [p], which spawns B and syncs.  Always
+   picking the lowest runnable tid runs the root until it parks on B,
+   then A to completion — which must not wake the root, still waiting
+   for B — then B, and only then the root again. *)
+let test_task_inner_sync_ignores_outer_child () =
+  let prog =
+    B.program ~name:"t"
+      ~funcs:
+        [
+          B.proc "p" []
+            [ B.spawn [ B.store "a" (B.i 1) (B.i 1); B.store "a" (B.i 1) (B.i 2) ]; B.sync () ];
+        ]
+      [
+        B.arr "a" (B.i 4);
+        B.spawn [ B.store "a" (B.i 0) (B.i 1); B.store "a" (B.i 0) (B.i 2) ];
+        B.call_proc "p" [];
+        B.store "a" (B.i 2) (B.i 3);
+      ]
+  in
+  let tr, stats = Interp.trace ~schedule:(fun _ -> 0) prog in
+  let tr = Array.of_list tr in
+  let positions p =
+    List.filter (fun i -> p tr.(i)) (List.init (Array.length tr) Fun.id)
+  in
+  let writes_of t = positions (function Event.Write { thread; _ } -> thread = t | _ -> false) in
+  let sync_of kind t obj =
+    match
+      positions (function
+        | Event.Sync s -> s.kind = kind && s.thread = t && s.obj = obj
+        | _ -> false)
+    with
+    | [ i ] -> i
+    | l -> Alcotest.failf "expected one sync event, got %d" (List.length l)
+  in
+  let root_events =
+    positions (function
+      | Event.Write { thread; _ } | Event.Read { thread; _ } -> thread = 0
+      | Event.Sync { thread; _ } | Event.Call { thread; _ } | Event.Return { thread; _ } ->
+        thread = 0
+      | _ -> false)
+  in
+  let a = writes_of 1 and b = writes_of 2 in
+  let spawn_b = sync_of Event.Task_spawn 0 2 and join_b = sync_of Event.Task_join 0 2 in
+  let last = List.fold_left max (-1) in
+  Alcotest.(check int) "two writes each" 4 (List.length a + List.length b);
+  Alcotest.(check bool) "A ran after the root parked on B" true (List.hd a > spawn_b);
+  Alcotest.(check bool) "A finished before B started" true (last a < List.hd b);
+  Alcotest.(check bool) "the root joined B only after B finished" true (last b < join_b);
+  Alcotest.(check bool) "the root stayed parked from B's spawn to its join" true
+    (List.for_all (fun i -> i <= spawn_b || i >= join_b) root_events);
+  Alcotest.(check int) "one stalled sync" 1 stats.Interp.sync_stalls
+
+(* Thread ids share a 10-bit payload field: tids up to [Loc.max_thread]
+   run, and the first task or Par arm past it is refused. *)
+let spawn_many k =
+  B.program ~name:"t"
+    [
+      B.arr "a" (B.i 1);
+      B.for_ "i" (B.i 0) (B.i k) (fun _ -> [ B.spawn [ B.store "a" (B.i 0) (B.i 1) ] ]);
+    ]
+
+let par_many k =
+  B.program ~name:"t"
+    [ B.arr "a" (B.i 1); B.par (List.init k (fun _ -> [ B.store "a" (B.i 0) (B.i 1) ])) ]
+
+let task_limit = Interp.Runtime_error "task limit (1024) exceeded"
+
+let test_task_limit () =
+  Alcotest.(check int) "1023 spawned tasks, tids up to 1023" Loc.max_thread
+    (List.fold_left
+       (fun m -> function Event.Write { thread; _ } -> max m thread | _ -> m)
+       0
+       (trace (spawn_many Loc.max_thread)));
+  Alcotest.check_raises "tid 1024 refused" task_limit (fun () ->
+      ignore (run (spawn_many (Loc.max_thread + 1))));
+  ignore (run (par_many Loc.max_thread));
+  Alcotest.check_raises "Par arm 1024 refused" task_limit (fun () ->
+      ignore (run (par_many (Loc.max_thread + 1))));
+  Alcotest.check_raises "msort-task at scale 16 needs 2047 tids" task_limit (fun () ->
+      ignore (run ((Ddp_workloads.Registry.find "msort-task").Ddp_workloads.Wl.seq ~scale:16)))
+
 let suite =
   [
     Alcotest.test_case "arith semantics" `Quick test_arith_semantics;
@@ -402,6 +537,10 @@ let suite =
     Alcotest.test_case "task: Par mixing rejected" `Quick test_par_spawn_mixing_rejected;
     Alcotest.test_case "task: schedule hook validated" `Quick test_task_schedule_validated;
     Alcotest.test_case "task: replay deterministic" `Quick test_task_replay_deterministic;
+    Alcotest.test_case "task: traces match golden digests" `Quick test_task_traces_golden;
+    Alcotest.test_case "task: inner sync ignores outer child" `Quick
+      test_task_inner_sync_ignores_outer_child;
+    Alcotest.test_case "task: thread id limit" `Quick test_task_limit;
   ]
 
 (* silence unused warnings for helpers used in some configs *)

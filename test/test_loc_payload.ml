@@ -38,6 +38,10 @@ let test_payload_ranges () =
   Alcotest.check_raises "thread range" (Invalid_argument "Payload.pack: thread out of range")
     (fun () -> ignore (Ddp_core.Payload.pack ~loc ~var:0 ~thread:1024))
 
+let test_thread_capacity () =
+  Alcotest.(check int) "one thread capacity" Ddp_minir.Loc.max_thread
+    Ddp_core.Payload.max_thread
+
 (* Property: pack/unpack is the identity over the whole domain. *)
 let prop_payload_roundtrip =
   QCheck.Test.make ~name:"payload pack/unpack identity" ~count:1000
@@ -59,5 +63,6 @@ let suite =
     Alcotest.test_case "loc order" `Quick test_loc_order;
     Alcotest.test_case "payload roundtrip" `Quick test_payload_roundtrip;
     Alcotest.test_case "payload ranges" `Quick test_payload_ranges;
+    Alcotest.test_case "thread capacity" `Quick test_thread_capacity;
     Test_seed.to_alcotest prop_payload_roundtrip;
   ]

@@ -113,6 +113,82 @@ let test_long_group_wraps () =
   let s = Ddp_core.Profiler.report o in
   Alcotest.(check bool) "renders" true (String.length s > 0)
 
+(* -- the renderer against its reference ----------------------------------- *)
+
+let var_name v = "v" ^ string_of_int v
+
+let check_same_as_reference ?health ~deps ~regions () =
+  List.iter
+    (fun show_threads ->
+      Alcotest.(check string)
+        (Printf.sprintf "show_threads=%b" show_threads)
+        (Report_ref.render ~show_threads ?health ~var_name ~deps ~regions ())
+        (Ddp_core.Report.render ~show_threads ?health ~var_name ~deps ~regions ()))
+    [ false; true ]
+
+(* Random programs of every generator shape, profiled by the serial, mt
+   and dag engines: the report is byte-equal to the reference renderer's,
+   with and without thread ids. *)
+let prop_render_matches_reference (label, shape) =
+  QCheck.Test.make ~name:("render == reference renderer (" ^ label ^ ")") ~count:40
+    (Ddp_testkit.Prog_gen.arbitrary ~shape ())
+    (fun prog ->
+      List.iter
+        (fun mode ->
+          let o = Ddp_core.Profiler.profile ~mode prog in
+          check_same_as_reference ~health:o.health ~deps:o.deps ~regions:o.regions ())
+        [ "serial"; "mt"; "dag" ];
+      true)
+
+let pay ~line ~var ~thread =
+  Ddp_core.Payload.pack ~loc:(Ddp_minir.Loc.make ~file:1 ~line) ~var ~thread
+
+(* One sink with nine dependences (three wrapped lines), sinks sharing a
+   line across variables and threads, race flags, INITs, and loops whose
+   begin and end lines carry no dependence, two of them ending on the
+   same line. *)
+let test_wrapped_sink_matches_reference () =
+  let deps = Ddp_core.Dep_store.create () in
+  let sink = pay ~line:5 ~var:3 ~thread:2 in
+  List.iteri
+    (fun k kind ->
+      Ddp_core.Dep_store.add deps ~kind ~sink
+        ~src:(pay ~line:(10 - k) ~var:(k mod 2) ~thread:(k mod 3))
+        ~race:(k mod 4 = 1))
+    Ddp_core.Dep.[ RAW; RAW; WAR; WAW; RAW; WAR; WAW; RAW ];
+  Ddp_core.Dep_store.add_init deps ~sink;
+  Ddp_core.Dep_store.add_init deps ~sink:(pay ~line:5 ~var:1 ~thread:7);
+  Ddp_core.Dep_store.add deps ~kind:Ddp_core.Dep.RAW ~sink:(pay ~line:5 ~var:1 ~thread:0)
+    ~src:(pay ~line:2 ~var:1 ~thread:1) ~race:false;
+  Ddp_core.Dep_store.add deps ~kind:Ddp_core.Dep.WAW ~sink:(pay ~line:12 ~var:4 ~thread:1023)
+    ~src:(pay ~line:12 ~var:4 ~thread:0) ~race:true;
+  let regions = Ddp_core.Region.create () in
+  let loop ~line ~end_line ~iterations =
+    let loc = Ddp_minir.Loc.make ~file:1 ~line in
+    Ddp_core.Region.on_enter regions ~loc ~thread:0 ~time:0;
+    Ddp_core.Region.on_exit regions ~loc ~end_loc:(Ddp_minir.Loc.make ~file:1 ~line:end_line)
+      ~iterations ~thread:0
+  in
+  loop ~line:1 ~end_line:20 ~iterations:3;
+  loop ~line:5 ~end_line:9 ~iterations:7;
+  loop ~line:6 ~end_line:9 ~iterations:11;
+  loop ~line:15 ~end_line:16 ~iterations:1;
+  check_same_as_reference ~deps ~regions ();
+  let s = Ddp_core.Report.render ~var_name ~deps ~regions () in
+  check_contains "continuation aligned under the first dependence" "\n        {RAW? 1:9" s
+
+let test_partial_banner_matches_reference () =
+  let o = outcome_of (B.program ~name:"r" [ B.local "x" (B.i 1); B.assign "x" (B.i 2) ]) in
+  let health =
+    Ddp_core.Health.degraded
+      ~reasons:[ Ddp_core.Health.Worker_crash; Ddp_core.Health.Deadline 1.5 ]
+      ~faults:[ { worker = 3; exn_text = "Failure(\"boom\")"; backtrace = "" } ]
+      { Ddp_core.Health.no_loss with dropped_chunks = 2; dropped_events = 77 }
+  in
+  check_same_as_reference ~health ~deps:o.deps ~regions:o.regions ();
+  check_contains "banner" "# PARTIAL RESULT"
+    (Ddp_core.Report.render ~health ~var_name ~deps:o.deps ~regions:o.regions ())
+
 let suite =
   [
     Alcotest.test_case "sequential format" `Quick test_sequential_format;
@@ -120,4 +196,10 @@ let suite =
     Alcotest.test_case "kind counts" `Quick test_kind_counts;
     Alcotest.test_case "report lines sorted" `Quick test_report_lines_sorted;
     Alcotest.test_case "long group wraps" `Quick test_long_group_wraps;
+    Alcotest.test_case "wrapped sink == reference" `Quick test_wrapped_sink_matches_reference;
+    Alcotest.test_case "partial banner == reference" `Quick
+      test_partial_banner_matches_reference;
   ]
+  @ List.map
+      (fun shape -> Test_seed.to_alcotest (prop_render_matches_reference shape))
+      Ddp_testkit.Prog_gen.[ ("default", default_shape); ("par", par_shape); ("task", task_shape) ]
