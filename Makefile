@@ -136,8 +136,10 @@ race-smoke: build
 # The daemon end to end, with the real ddpd binary: boot it on a fresh
 # socket, submit the kmeans workload (~5M events) and diff the daemon's
 # dependence keys against an in-process batch run (submit exits 1 on
-# any mismatch), scrape STATUS, then SIGTERM — the drain must flush
-# metrics and exit 0.  Log + final metrics land in _daemon/.
+# any mismatch); then record scan-task-racy to a trace file (spawn/join
+# Sync lines) and submit that file the same way; scrape STATUS, then
+# SIGTERM — the drain must flush metrics and exit 0.  Log, trace and
+# final metrics land in _daemon/.
 daemon-smoke: build
 	@mkdir -p _daemon; rm -f _daemon/ddpd.sock; \
 	_build/default/bin/ddpd.exe --socket _daemon/ddpd.sock --idle-timeout 60 \
@@ -146,6 +148,9 @@ daemon-smoke: build
 	trap 'kill $$pid 2>/dev/null' EXIT; \
 	sleep 1; \
 	$(TIMEOUT) $(DDPROF) submit kmeans --daemon _daemon/ddpd.sock --mode serial --diff-batch || exit 1; \
+	$(DDPROF) record scan-task-racy --trace _daemon/scan.trace || exit 1; \
+	$(TIMEOUT) $(DDPROF) submit --trace _daemon/scan.trace --daemon _daemon/ddpd.sock --mode serial \
+	  --diff-batch || exit 1; \
 	$(DDPROF) daemon-status --daemon _daemon/ddpd.sock || exit 1; \
 	echo "== SIGTERM drain =="; \
 	kill -TERM $$pid; \
@@ -153,7 +158,7 @@ daemon-smoke: build
 	trap - EXIT; \
 	test $$code -eq 0 || { echo "FAIL: drain exited $$code"; cat _daemon/ddpd.log; exit 1; }; \
 	test -f _daemon/metrics.json || { echo "FAIL: no metrics flushed on shutdown"; exit 1; }; \
-	echo "daemon-smoke OK: keys == batch run, STATUS served, drained with exit 0"
+	echo "daemon-smoke OK: workload and recorded-trace submits == batch runs, STATUS served, drained with exit 0"
 
 # Supervision under fire: concurrent clients against an in-process
 # server with injected crashes, corrupt frames, truncations, stalls and

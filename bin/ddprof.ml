@@ -1202,8 +1202,8 @@ let submit_cmd =
       & opt int (64 * 1024)
       & info [ "chunk-bytes" ] ~docv:"B"
           ~doc:
-            "DATA frame payload size.  Small values stress the daemon's incremental decoder with \
-             arbitrary byte splits.")
+            "DATA frame payload size, clamped to the 8 MiB frame cap.  Small values stress the \
+             daemon's incremental decoder with arbitrary byte splits.")
   in
   let label_arg =
     Arg.(

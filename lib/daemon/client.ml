@@ -211,13 +211,11 @@ let submit ?(retries = 6) ?(base_ms = 25) ?(cap_ms = 2000) ?seed ?policy ?deadli
      starvation. *)
   let buf = Buffer.create 4096 in
   Trace_file.to_buffer buf events symtab;
-  let bytes = Buffer.contents buf in
   match dial ~retries ~base_ms ~cap_ms ~rng ~reply_timeout ~socket hello with
   | Error e -> Error e
   | Ok (fd, _admit) ->
     Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     @@ fun () ->
-    let chunk = max 1 chunk_bytes in
     let read_report () =
       match Wire.read_frame ~deadline:(Unix.gettimeofday () +. reply_timeout) fd with
       | Some (Wire.Report, payload) -> (
@@ -233,12 +231,7 @@ let submit ?(retries = 6) ?(base_ms = 25) ?(cap_ms = 2000) ?seed ?policy ?deadli
       | exception Unix.Unix_error (e, _, _) -> Error (Protocol ("i/o error: " ^ Unix.error_message e))
     in
     let stream () =
-      let off = ref 0 in
-      while !off < String.length bytes do
-        let n = min chunk (String.length bytes - !off) in
-        Wire.write_frame fd Wire.Data (String.sub bytes !off n);
-        off := !off + n
-      done;
+      Wire.write_data_frames fd ~chunk_bytes buf;
       Wire.write_frame fd Wire.Fin ""
     in
     (match stream () with

@@ -61,9 +61,10 @@ val submit :
   unit ->
   (report, error) result
 (** Encode the events as a v2 trace, stream it in [chunk_bytes] DATA
-    frames (default 64 KiB; small values exercise arbitrary re-framing)
-    and return the parsed REPORT.  [inject_crash] asks the daemon to arm
-    a crash budget against this very session (chaos testing). *)
+    frames (default 64 KiB, clamped to {!Wire.max_payload}; small values
+    exercise arbitrary re-framing) and return the parsed REPORT.
+    [inject_crash] asks the daemon to arm a crash budget against this
+    very session (chaos testing). *)
 
 val status :
   ?retries:int ->

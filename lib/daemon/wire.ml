@@ -58,23 +58,47 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
    typed error instead of a giant allocation. *)
 let max_payload = 8 * 1024 * 1024
 
-let write_frame fd ty payload =
-  let n = String.length payload in
-  if n > max_payload then invalid_arg "Wire.write_frame: payload too large";
-  let b = Bytes.create (5 + n) in
+(* [<len:4 BE><type:1>] in front of every payload. *)
+let header_bytes = 5
+
+let set_header b ty n =
   Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
   Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
   Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
   Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.set b 4 (frame_char ty);
-  Bytes.blit_string payload 0 b 5 n;
+  Bytes.set b 4 (frame_char ty)
+
+let write_all fd b len =
   let rec push off =
-    if off < Bytes.length b then begin
-      let w = Unix.write fd b off (Bytes.length b - off) in
+    if off < len then begin
+      let w = Unix.write fd b off (len - off) in
       push (off + w)
     end
   in
   push 0
+
+let write_frame fd ty payload =
+  let n = String.length payload in
+  if n > max_payload then invalid_arg "Wire.write_frame: payload too large";
+  let b = Bytes.create (header_bytes + n) in
+  set_header b ty n;
+  Bytes.blit_string payload 0 b header_bytes n;
+  write_all fd b (header_bytes + n)
+
+(* One frame buffer serves the whole stream: each payload is copied
+   once, straight out of [buf], behind a rewritten header. *)
+let write_data_frames fd ~chunk_bytes buf =
+  let total = Buffer.length buf in
+  let chunk = max 1 (min chunk_bytes max_payload) in
+  let frame = Bytes.create (header_bytes + min chunk total) in
+  let off = ref 0 in
+  while !off < total do
+    let n = min chunk (total - !off) in
+    set_header frame Data n;
+    Buffer.blit buf !off frame header_bytes n;
+    write_all fd frame (header_bytes + n);
+    off := !off + n
+  done
 
 (* Read exactly [n] bytes, waiting on [deadline] (absolute wall-clock)
    before every chunk.  [allow_eof] permits clean EOF only before the

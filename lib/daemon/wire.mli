@@ -39,7 +39,15 @@ exception Timeout
 val max_payload : int
 
 val write_frame : Unix.file_descr -> frame_type -> string -> unit
-(** Raises [Unix.Unix_error] if the peer is gone (caller handles). *)
+(** Raises [Unix.Unix_error] if the peer is gone (caller handles), and
+    [Invalid_argument] for a payload over {!max_payload}. *)
+
+val write_data_frames : Unix.file_descr -> chunk_bytes:int -> Buffer.t -> unit
+(** Send the buffer's bytes as consecutive DATA frames of [chunk_bytes]
+    each (the last one shorter), with [chunk_bytes] clamped to
+    [1 .. max_payload]; nothing for an empty buffer.  The payloads are
+    copied out of the buffer through one frame buffer, allocated once.
+    Raises [Unix.Unix_error] if the peer is gone. *)
 
 val read_frame : ?deadline:float -> Unix.file_descr -> (frame_type * string) option
 (** Blocking read of one whole frame; [None] on clean EOF at a frame

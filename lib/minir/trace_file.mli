@@ -4,25 +4,30 @@
     Version 2 traces are self-describing: a [%class <name> <tag>...]
     header maps each event class of the algebra to the line tags it
     owns, so readers can skip events of declared-but-unknown classes.
-    Version 1 traces (no header, no [Sync]) still load unchanged. *)
+    Version 1 traces (no header, no [Sync]) still load unchanged.
+
+    An event line is a one-byte tag followed by its integer fields.  The
+    writer emits [<tag> <f1> <f2> ...\n] with each field in plain
+    decimal, exactly as [string_of_int] prints it.  The reader accepts
+    any run of spaces (including none) between the tag and the first
+    field and between fields, plus trailing spaces; every field must
+    match [-?[0-9]+] and fit the 63-bit int range.  Anything else is a
+    {!Parse_error}.  This is narrower than readers before the in-place
+    parser, which took every spelling [int_of_string] knows ([0x1f],
+    [0o7], [0b1], [0u5], [+3], [1_000]); no writer ever emitted those
+    forms.  Header, symbol-table and seal lines (those starting with
+    [%]) are read as before. *)
 
 exception Parse_error of string
 
 val class_tags : Event.Class.t -> char list
 (** The line tags owned by each event class (the v2 header contents). *)
 
-val recorder : out_channel -> Event.hooks
-(** Streaming hooks that write each event to the channel (O(1) memory). *)
-
-val recorder_handler : out_channel -> Handler.t
-(** The same writer as a per-class handler bundle, for composition. *)
-
-val write_symtab : out_channel -> Symtab.t -> unit
-
 val to_buffer : Buffer.t -> Event.t list -> Symtab.t -> unit
 (** Encode a complete v2 trace (header, events, symtab, [%end] seal)
     into a buffer — what {!save} writes to disk, as bytes in memory.
-    The daemon client uses this to frame traces for the wire. *)
+    The daemon client uses this to frame traces for the wire.  Safe to
+    call from several threads at once on distinct buffers. *)
 
 type recording
 (** A trace file being written: tee {!recording_hooks} into any event
@@ -31,7 +36,8 @@ type recording
 val start_recording : path:string -> recording
 (** Opens [path ^ ".tmp"]; the trace appears at [path] only on a
     successful {!finish_recording} (atomic rename), so interrupted runs
-    never leave truncated traces behind. *)
+    never leave truncated traces behind.  Lines collect in a buffer that
+    is written to the file every 64 KiB and at {!finish_recording}. *)
 
 val recording_hooks : recording -> Event.hooks
 
@@ -39,8 +45,8 @@ val finish_recording : recording -> Symtab.t -> unit
 (** Append the symbol table, close, and atomically rename into place. *)
 
 val abort_recording : recording -> unit
-(** Close and delete the temp file without publishing (error paths);
-    idempotent. *)
+(** Drop the buffered lines, close and delete the temp file without
+    publishing (error paths); idempotent. *)
 
 val record : ?sched_seed:int -> ?input_seed:int -> path:string -> Ast.program -> unit
 (** Run the program and record its full trace (with symbol table) to

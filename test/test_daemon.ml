@@ -164,6 +164,31 @@ let test_submit_matches_batch () =
       Alcotest.(check bool) "keys == serial batch" true
         (Dep_store.Key_set.equal (Client.dep_key_set r) (batch_keys events symtab)))
 
+(* A [chunk_bytes] above the frame cap is clamped to it: a trace too big
+   for one frame still arrives whole instead of [submit] raising. *)
+let test_oversized_chunk_bytes () =
+  let symtab = Ddp_testkit.Event_gen.symtab () in
+  let events =
+    List.init 450_000 (fun i ->
+        let loc = Ddp_minir.Loc.make ~file:1 ~line:(1 + (i mod 50)) in
+        let addr = i * 7919 mod 4096 and var = i mod 4 in
+        if i mod 3 = 0 then
+          Ddp_minir.Event.Write { addr; loc; var; thread = 0; time = i; locked = false }
+        else Ddp_minir.Event.Read { addr; loc; var; thread = 0; time = i; locked = false })
+  in
+  let buf = Buffer.create 4096 in
+  TF.to_buffer buf events symtab;
+  Alcotest.(check bool) "trace exceeds one frame" true (Buffer.length buf > Wire.max_payload);
+  with_server (fun ~sock ~server:_ ->
+      let r =
+        ok_report
+          (Client.submit ~seed:1 ~chunk_bytes:(16 * 1024 * 1024) ~socket:sock ~name:"big"
+             ~mode:"serial" ~events ~symtab ())
+      in
+      Alcotest.(check bool) "complete" true r.Client.complete;
+      Alcotest.(check bool) "keys == serial batch" true
+        (Dep_store.Key_set.equal (Client.dep_key_set r) (batch_keys events symtab)))
+
 let test_concurrent_sessions () =
   let events, symtab = collect () in
   let expected = batch_keys events symtab in
@@ -451,6 +476,7 @@ let suite =
     Alcotest.test_case "admission ladder" `Quick test_admission_control;
     Alcotest.test_case "client backoff bounds" `Quick test_backoff_bounds;
     Alcotest.test_case "submit matches batch run" `Quick test_submit_matches_batch;
+    Alcotest.test_case "chunk_bytes above the frame cap" `Quick test_oversized_chunk_bytes;
     Alcotest.test_case "concurrent sessions" `Quick test_concurrent_sessions;
     Alcotest.test_case "BUSY reply and retry" `Quick test_busy_and_retry;
     Alcotest.test_case "refused modes" `Quick test_refused_modes;
